@@ -7,9 +7,6 @@
 // choices, which operand can no longer supply the selected vector — this is
 // what the naive "free choice if either allows it" rule misses (the paper's
 // over-approximation example).
-#include <functional>
-#include <tuple>
-
 #include "bfv/internal.hpp"
 
 namespace bfvr::bfv {
@@ -33,20 +30,10 @@ std::vector<Bdd> unionCore(Manager& m, const std::vector<unsigned>& vars,
     }
     const Bdd v = m.var(vars[i]);
     // f_i = f1 | fc & v_i  =>  f_i|v=0 = f1,  ~(f_i|v=1) = f0.
-    Bdd f_lo, f_hi, g_lo, g_hi;
-    if (m.threads() > 1) {
-      // The two operand cofactor pairs are independent; fuse each pair into
-      // one cofactor2 walk and let the pool run them concurrently.
-      const std::function<void()> fns[2] = {
-          [&] { std::tie(f_lo, f_hi) = m.cofactor2(f[i], vars[i]); },
-          [&] { std::tie(g_lo, g_hi) = m.cofactor2(g[i], vars[i]); }};
-      m.parallelInvoke(fns);
-    } else {
-      f_lo = m.cofactor(f[i], vars[i], false);
-      f_hi = m.cofactor(f[i], vars[i], true);
-      g_lo = m.cofactor(g[i], vars[i], false);
-      g_hi = m.cofactor(g[i], vars[i], true);
-    }
+    const Bdd f_lo = m.cofactor(f[i], vars[i], false);
+    const Bdd f_hi = m.cofactor(f[i], vars[i], true);
+    const Bdd g_lo = m.cofactor(g[i], vars[i], false);
+    const Bdd g_hi = m.cofactor(g[i], vars[i], true);
     const Bdd f1 = f_lo;
     const Bdd f0 = ~f_hi;
     const Bdd g1 = g_lo;

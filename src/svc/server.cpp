@@ -1,9 +1,14 @@
 #include "svc/server.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "obs/log.hpp"
@@ -26,6 +31,43 @@ std::shared_ptr<const std::vector<std::uint8_t>> slurpSpool(
                                   std::istreambuf_iterator<char>());
   if (bytes.empty()) return nullptr;
   return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+}
+
+/// Create `dir` if missing and take an exclusive, non-blocking flock on
+/// its `svc.lock` file. The returned descriptor holds the lock until it is
+/// closed or the process dies.
+Fd lockDir(const std::string& what, const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
+    throw Error(what + " dir '" + dir + "': mkdir: " + std::strerror(errno));
+  }
+  const std::string path = dir + "/svc.lock";
+  Fd fd(::open(path.c_str(), O_RDONLY | O_CREAT | O_CLOEXEC, 0644));
+  if (!fd.valid()) {
+    throw Error(what + " dir '" + dir + "': open " + path + ": " +
+                std::strerror(errno));
+  }
+  if (::flock(fd.get(), LOCK_EX | LOCK_NB) != 0) {
+    if (errno == EWOULDBLOCK) {
+      throw Error(what + " dir '" + dir +
+                  "' is locked by another server instance");
+    }
+    throw Error(what + " dir '" + dir + "': flock " + path + ": " +
+                std::strerror(errno));
+  }
+  return fd;
+}
+
+/// Lock the journal dir unless it is the spool dir, whose lock this
+/// process already holds (a second flock on a new descriptor of the same
+/// file would refuse ourselves).
+Fd lockJournalDir(const std::string& dir, const std::string& spool_dir) {
+  if (dir.empty()) return Fd{};
+  struct stat a {}, b {};
+  if (::stat(dir.c_str(), &a) == 0 && ::stat(spool_dir.c_str(), &b) == 0 &&
+      a.st_dev == b.st_dev && a.st_ino == b.st_ino) {
+    return Fd{};
+  }
+  return lockDir("journal", dir);
 }
 
 /// Per-tenant serving counter (admission decisions, outcomes, churn).
@@ -55,11 +97,13 @@ std::string statusDetail(const std::string& status, unsigned worker) {
 
 Server::Server(const Options& opts)
     : opts_(opts),
+      spool_lock_(lockDir("spool", opts.spool_dir)),
+      journal_lock_(lockJournalDir(opts.journal_dir, opts.spool_dir)),
       endpoint_(Endpoint::parse(opts.endpoint)),
       listener_(listenOn(endpoint_)),
-      pool_(opts.workers, opts.warm_managers),
       queue_(opts.tenants),
-      flight_(opts.flight_capacity) {
+      flight_(opts.flight_capacity),
+      pool_(opts.workers, opts.warm_managers) {
   for (const TenantConfig& t : opts.tenants) {
     obs::SvcTenantStats s;
     s.name = t.name;

@@ -18,6 +18,13 @@
 // Locking: mu_ guards all scheduling state; each session's write mutex is
 // strictly inner to mu_ (frames may be sent while holding mu_, but mu_ is
 // never taken while holding a write mutex).
+//
+// On-disk state: the spool directory (and the journal directory, when set)
+// belongs to one server at a time. The constructor takes an exclusive
+// flock(2) on a `svc.lock` file in each before touching anything else, so a
+// second instance pointed at the same directory fails fast instead of
+// overwriting and deleting the first one's per-job files. The kernel drops
+// the lock when the process exits, kill -9 included.
 #pragma once
 
 #include <atomic>
@@ -52,7 +59,8 @@ class Server {
     bool warm_managers = true;
     /// Tenant policies; unknown tenants get a default (weight-1) config.
     std::vector<TenantConfig> tenants;
-    /// Directory for per-job eviction spool checkpoints.
+    /// Directory for per-job eviction spool checkpoints (created if
+    /// missing; locked for this server's lifetime).
     std::string spool_dir = ".";
     /// Checkpoint cadence imposed on jobs that do not set their own
     /// (iterations between snapshots; 0 = only jobs that opt in are
@@ -103,8 +111,10 @@ class Server {
     double send_timeout = 0.0;
   };
 
-  /// Binds and listens on the endpoint (throws svc::Error on failure); the
-  /// socket is accepting by the time the constructor returns.
+  /// Locks the spool/journal directories, then binds and listens on the
+  /// endpoint (throws svc::Error on failure, naming the directory when
+  /// another instance holds it); the socket is accepting by the time the
+  /// constructor returns.
   explicit Server(const Options& opts);
   ~Server();
   Server(const Server&) = delete;
@@ -213,9 +223,13 @@ class Server {
   void dumpFlight(const std::string& reason) const;
 
   Options opts_;
+  /// Exclusive locks on the spool and journal directories. Taken before
+  /// the listener binds: a refused second instance must not unlink the
+  /// first one's socket either.
+  Fd spool_lock_;
+  Fd journal_lock_;
   Endpoint endpoint_;
   Fd listener_;
-  run::WorkerPool pool_;
   Timer uptime_;
 
   mutable std::mutex mu_;
@@ -262,6 +276,12 @@ class Server {
   std::thread accept_thread_;
   std::thread metrics_thread_;
   std::vector<std::thread> session_threads_;
+
+  /// Declared last so it is destroyed first: ~WorkerPool joins the workers,
+  /// and a worker may still be inside onJobDone's tail (flight dump,
+  /// cv_.notify_all) after waitStopped returned. Every member it touches
+  /// must outlive that join.
+  run::WorkerPool pool_;
 };
 
 }  // namespace bfvr::svc

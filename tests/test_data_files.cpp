@@ -2,6 +2,8 @@
 // path a user takes with the original ISCAS89 distributions.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuit/bench_io.hpp"
 #include "circuit/concrete_sim.hpp"
 #include "reach/engine.hpp"
@@ -25,6 +27,35 @@ TEST_P(DataFiles, ParsesAndValidates) {
   const circuit::Netlist back =
       circuit::parseBenchString(circuit::toBench(n), "rt");
   EXPECT_EQ(back.latches().size(), n.latches().size());
+}
+
+// Differential oracle across the BDD engines: with iterations capped, TR,
+// CBM, BFV-Fig2 and CDEC-Fig2 walk the same breadth-first frontiers, so they
+// must agree on status, iteration count and reached-state count.
+TEST_P(DataFiles, EnginesAgreeOnCappedRun) {
+  const circuit::Netlist n = circuit::parseBenchFile(
+      std::string(BFVR_DATA_DIR) + "/" + GetParam());
+  const auto run = [&n](const char* engine) {
+    bdd::Manager m(0);
+    sym::StateSpace s(m, n,
+                      circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
+    reach::ReachOptions opts;
+    opts.max_iterations = 6;
+    opts.budget.max_seconds = 30.0;
+    const std::string e = engine;
+    if (e == "tr") return reach::reachTr(s, opts);
+    if (e == "cbm") return reach::reachCbm(s, opts);
+    opts.backend =
+        e == "bfv" ? reach::SetBackend::kBfv : reach::SetBackend::kCdec;
+    return reach::reachBfv(s, opts);
+  };
+  const reach::ReachResult ref = run("tr");
+  for (const char* engine : {"cbm", "bfv", "cdec"}) {
+    const reach::ReachResult r = run(engine);
+    EXPECT_EQ(to_string(r.status), to_string(ref.status)) << engine;
+    EXPECT_EQ(r.iterations, ref.iterations) << engine;
+    EXPECT_DOUBLE_EQ(r.states, ref.states) << engine;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shipped, DataFiles,

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -289,6 +290,11 @@ const char* name(Engine e) {
   return "?";
 }
 
+// Names the engine in printed parameters. Together with the std::string file
+// parameter (a const char* would print as its address) this keeps the
+// generated test names identical from one build to the next.
+void PrintTo(Engine e, std::ostream* os) { *os << name(e); }
+
 reach::ReachResult dispatch(Engine e, sym::StateSpace& s,
                             reach::ReachOptions opts) {
   switch (e) {
@@ -309,7 +315,7 @@ reach::ReachResult dispatch(Engine e, sym::StateSpace& s,
 }
 
 class ResumeMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, Engine>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, Engine>> {};
 
 TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
   const auto [file, engine] = GetParam();

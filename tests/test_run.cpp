@@ -311,25 +311,16 @@ TEST(RunManifest, ParsesKeysAndPortfolio) {
   EXPECT_TRUE(entries[1].spec.opts.trace);
   EXPECT_EQ(entries[1].spec.opts.budget.max_live_nodes, 5000U);
   EXPECT_EQ(entries[1].spec.mgr.max_nodes, 100000U);
-}
-
-TEST(RunManifest, ThreadsKeyConfiguresTheKernel) {
-  const std::vector<ManifestEntry> entries = parseManifestString(
-      "circuit=a.bench\ncircuit=b.bench threads=4\n");
-  ASSERT_EQ(entries.size(), 2U);
-  EXPECT_EQ(entries[0].spec.mgr.threads, 1U);  // default: sequential kernel
-  EXPECT_EQ(entries[1].spec.mgr.threads, 4U);
-  // Zero and junk are rejected with the key and line named.
+  // `threads=` is not a manifest key: it is rejected like any unknown key,
+  // naming the line.
   try {
-    parseManifestString("circuit=a.bench\ncircuit=b.bench threads=0\n");
+    parseManifestString("circuit=a.bench\ncircuit=b.bench threads=4\n");
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("key 'threads'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unknown key 'threads'"), std::string::npos) << msg;
   }
-  EXPECT_THROW(parseManifestString("circuit=a.bench threads=many\n"),
-               std::runtime_error);
 }
 
 TEST(RunManifest, ErrorsCarryLineNumbers) {

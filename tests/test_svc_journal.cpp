@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -30,6 +29,7 @@
 #include <vector>
 
 #include "run/run.hpp"
+#include "support/temp_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/journal.hpp"
 #include "svc/server.hpp"
@@ -44,29 +44,13 @@ std::string sockPath(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-/// Fresh per-process journal directory; any journal left by a previous
-/// run under the same pid is removed so replay counts start from zero.
-std::string journalDir(const char* tag) {
-  const std::string dir = "/tmp/bfvr_jrnl_" + std::string(tag) + "_" +
-                          std::to_string(::getpid());
-  ::unlink((dir + "/journal.bin").c_str());
-  return dir;
-}
-
-std::string freshDir(const char* tag) {
-  const std::string dir = "/tmp/bfvr_dir_" + std::string(tag) + "_" +
-                          std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
-
-Server::Options baseOptions(const std::string& sock) {
+Server::Options baseOptions(const std::string& sock, const std::string& spool) {
   Server::Options o;
   o.endpoint = "unix:" + sock;
   o.workers = 2;
   o.warm_managers = true;
   o.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
-  o.spool_dir = "/tmp";
+  o.spool_dir = spool;
   o.checkpoint_every = 1;
   o.name = "svc-test";
   return o;
@@ -188,7 +172,8 @@ TEST(SvcJournal, RecordRoundTripAllFields) {
 }
 
 TEST(SvcJournal, ReopenReplaysAppendedRecords) {
-  const std::string dir = journalDir("reopen");
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
   {
     Journal j(dir, FsyncPolicy::kAlways);
     EXPECT_TRUE(j.replayed().empty());
@@ -215,7 +200,8 @@ TEST(SvcJournal, ReopenReplaysAppendedRecords) {
 }
 
 TEST(SvcJournal, TornTailIsTruncatedAndAppendable) {
-  const std::string dir = journalDir("torn");
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
   std::string path;
   {
     Journal j(dir, FsyncPolicy::kBatch);
@@ -242,7 +228,8 @@ TEST(SvcJournal, TornTailIsTruncatedAndAppendable) {
 }
 
 TEST(SvcJournal, CorruptMiddleRecordEndsReplay) {
-  const std::string dir = journalDir("corrupt");
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
   std::string path;
   {
     Journal j(dir, FsyncPolicy::kAlways);
@@ -268,7 +255,8 @@ TEST(SvcJournal, CorruptMiddleRecordEndsReplay) {
 }
 
 TEST(SvcJournal, CompactionRewritesAtomically) {
-  const std::string dir = journalDir("compact");
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
   {
     Journal j(dir, FsyncPolicy::kBatch);
     for (std::uint64_t id = 1; id <= 5; ++id) j.append(acceptedRec(id));
@@ -294,8 +282,10 @@ TEST(SvcJournal, CompactionRewritesAtomically) {
 
 TEST(SvcJournal, ServerWritesLifecycleRecords) {
   const std::string sock = sockPath("jlife");
-  const std::string dir = journalDir("jlife");
-  Server::Options opts = baseOptions(sock);
+  const test::TempDir spool;
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
+  Server::Options opts = baseOptions(sock, spool.path());
   opts.journal_dir = dir;
   opts.journal_compact_on_shutdown = false;  // keep the full log to inspect
   {
@@ -344,8 +334,10 @@ TEST(SvcJournal, ServerWritesLifecycleRecords) {
 
 TEST(SvcJournal, CompactionOnCleanShutdownEmptiesTheLog) {
   const std::string sock = sockPath("jcompact");
-  const std::string dir = journalDir("jcompact");
-  Server::Options opts = baseOptions(sock);
+  const test::TempDir spool;
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
+  Server::Options opts = baseOptions(sock, spool.path());
   opts.journal_dir = dir;  // journal_compact_on_shutdown defaults to true
   {
     Server server(opts);
@@ -369,8 +361,10 @@ TEST(SvcJournal, CompactionOnCleanShutdownEmptiesTheLog) {
 
 TEST(SvcJournal, DuplicateIdemAnswersFromCacheWithoutReexecution) {
   const std::string sock = sockPath("jdup");
-  const std::string dir = journalDir("jdup");
-  Server::Options opts = baseOptions(sock);
+  const test::TempDir spool;
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
+  Server::Options opts = baseOptions(sock, spool.path());
   opts.journal_dir = dir;
   Server server(opts);
   server.start();
@@ -405,8 +399,10 @@ TEST(SvcJournal, DuplicateIdemAnswersFromCacheWithoutReexecution) {
 
 TEST(SvcJournal, RestartAnswersTerminalJobsFromTheJournal) {
   const std::string sock = sockPath("jterm");
-  const std::string dir = journalDir("jterm");
-  Server::Options opts = baseOptions(sock);
+  const test::TempDir spool;
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
+  Server::Options opts = baseOptions(sock, spool.path());
   opts.journal_dir = dir;
   opts.journal_compact_on_shutdown = false;  // keep terminal records around
   const std::string line = "circuit=gen:counter:4:10 engine=bfv";
@@ -449,12 +445,12 @@ TEST(SvcJournal, RestartAnswersTerminalJobsFromTheJournal) {
 
 TEST(SvcJournal, ImmediateShutdownPreservesJobsAndRestartResumesBitIdentical) {
   const std::string sock = sockPath("jresume");
-  const std::string dir = journalDir("jresume");
-  const std::string spool = freshDir("jresume_spool");
+  const test::TempDir spool;
+  const test::TempDir jdir;
+  const std::string& dir = jdir.path();
   const std::string line = "circuit=gen:counter:12:4096";
-  Server::Options opts = baseOptions(sock);
+  Server::Options opts = baseOptions(sock, spool.path());
   opts.journal_dir = dir;
-  opts.spool_dir = spool;
 
   // Phase 1: get the job well into its run, then pull the plug. Immediate
   // shutdown with a journal is the in-process stand-in for a crash: the
@@ -534,7 +530,8 @@ TEST(SvcJournal, ImmediateShutdownPreservesJobsAndRestartResumesBitIdentical) {
 
 TEST(SvcDeadline, IdleSessionsAreReaped) {
   const std::string sock = sockPath("didle");
-  Server::Options opts = baseOptions(sock);
+  const test::TempDir spool;
+  Server::Options opts = baseOptions(sock, spool.path());
   opts.idle_timeout = 0.2;
   Server server(opts);
   server.start();
@@ -563,7 +560,8 @@ TEST(SvcDeadline, IdleSessionsAreReaped) {
 
 TEST(SvcDeadline, SlowLorisPartialFrameTimesOut) {
   const std::string sock = sockPath("dloris");
-  Server::Options opts = baseOptions(sock);
+  const test::TempDir spool;
+  Server::Options opts = baseOptions(sock, spool.path());
   opts.frame_timeout = 0.3;  // no idle timeout: only the started frame stalls
   Server server(opts);
   server.start();
@@ -594,7 +592,8 @@ TEST(SvcDeadline, SlowLorisPartialFrameTimesOut) {
 
 TEST(SvcDeadline, ClientNextDeadlineThrowsTimeoutAndSessionSurvives) {
   const std::string sock = sockPath("dnext");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   {
     Client client("unix:" + sock, "alpha");

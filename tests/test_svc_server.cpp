@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "run/run.hpp"
+#include "support/temp_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 
@@ -27,13 +28,13 @@ std::string sockPath(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-Server::Options baseOptions(const std::string& sock) {
+Server::Options baseOptions(const std::string& sock, const std::string& spool) {
   Server::Options o;
   o.endpoint = "unix:" + sock;
   o.workers = 2;
   o.warm_managers = true;
   o.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
-  o.spool_dir = "/tmp";
+  o.spool_dir = spool;
   o.checkpoint_every = 1;
   o.name = "svc-test";
   return o;
@@ -41,7 +42,8 @@ Server::Options baseOptions(const std::string& sock) {
 
 TEST(SvcServer, HandshakeSubmitAndComplete) {
   const std::string sock = sockPath("basic");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   {
     Client client("unix:" + sock, "alpha");
@@ -65,7 +67,8 @@ TEST(SvcServer, HandshakeSubmitAndComplete) {
 
 TEST(SvcServer, IterationUpdatesStream) {
   const std::string sock = sockPath("stream");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   {
     Client client("unix:" + sock, "alpha");
@@ -97,7 +100,8 @@ TEST(SvcServer, IterationUpdatesStream) {
 
 TEST(SvcServer, RejectionsNameTheOffendingKey) {
   const std::string sock = sockPath("reject");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   {
     Client client("unix:" + sock, "alpha");
@@ -127,7 +131,8 @@ TEST(SvcServer, RejectionsNameTheOffendingKey) {
 
 TEST(SvcServer, CancelQueuedJob) {
   const std::string sock = sockPath("cancel");
-  Server::Options opts = baseOptions(sock);
+  const test::TempDir spool;
+  Server::Options opts = baseOptions(sock, spool.path());
   opts.workers = 1;  // one worker: the second submission must queue
   opts.stream_iterations = false;
   Server server(opts);
@@ -164,7 +169,9 @@ TEST(SvcServer, EvictionMigratesAndResumesBitIdentical) {
   ASSERT_EQ(ref_result.status, RunStatus::kDone);
 
   const std::string sock = sockPath("evict");
-  Server server(baseOptions(sock));  // 2 workers: migration has a target
+  const test::TempDir spool;
+  // 2 workers: migration has a target.
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   {
     Client client("unix:" + sock, "alpha");
@@ -212,7 +219,8 @@ TEST(SvcServer, EvictionMigratesAndResumesBitIdentical) {
 
 TEST(SvcServer, GarbageBytesGetWireErrorNotACrash) {
   const std::string sock = sockPath("garbage");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   {
     // A raw connection spewing junk: the server must answer with a kError
@@ -253,7 +261,8 @@ TEST(SvcServer, GarbageBytesGetWireErrorNotACrash) {
 
 TEST(SvcServer, DisconnectMidJobCancelsAndServerSurvives) {
   const std::string sock = sockPath("discon");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   {
     Client client("unix:" + sock, "alpha");
@@ -280,7 +289,8 @@ TEST(SvcServer, DisconnectMidJobCancelsAndServerSurvives) {
 
 TEST(SvcServer, StatsReportOverTheWire) {
   const std::string sock = sockPath("stats");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   {
     Client client("unix:" + sock, "carol");
@@ -330,7 +340,8 @@ TEST(SvcServer, StatsReportOverTheWire) {
 
 TEST(SvcServer, AcceptedTraceIdMatchesTheSpan) {
   const std::string sock = sockPath("trace");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   std::uint64_t trace = 0, job_id = 0;
   {
@@ -368,7 +379,8 @@ TEST(SvcServer, AcceptedTraceIdMatchesTheSpan) {
 
 TEST(SvcServer, StatsSectionsAreSelectable) {
   const std::string sock = sockPath("sections");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   // No sections: counters only, no metrics/spans/flight keys.
   const std::string lean = server.statsJson(0);
@@ -386,7 +398,8 @@ TEST(SvcServer, StatsSectionsAreSelectable) {
 
 TEST(SvcServer, ShutdownViaProtocolDrains) {
   const std::string sock = sockPath("shut");
-  Server server(baseOptions(sock));
+  const test::TempDir spool;
+  Server server(baseOptions(sock, spool.path()));
   server.start();
   std::uint64_t job_id = 0;
   {
@@ -402,6 +415,48 @@ TEST(SvcServer, ShutdownViaProtocolDrains) {
   server.waitStopped();
   EXPECT_EQ(server.warmStats().leaked_nodes, 0u);
   EXPECT_EQ(server.warmStats().resets_failed, 0u);
+}
+
+TEST(SvcServer, SecondInstanceOnAHeldDirFailsFast) {
+  const std::string sock = sockPath("lock");
+  const test::TempDir spool;
+  const test::TempDir journal;
+  Server::Options opts = baseOptions(sock, spool.path());
+  opts.journal_dir = journal.path();
+  {
+    Server first(opts);
+    first.start();
+    // Same spool dir: refused with an error naming the dir, before the
+    // second instance binds (which would unlink the first one's socket).
+    try {
+      Server second(opts);
+      FAIL() << "second server on a held spool dir must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + spool.path() + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    // Fresh spool dir, same journal dir: refused naming the journal dir.
+    const test::TempDir other_spool;
+    Server::Options other = baseOptions(sockPath("lock2"), other_spool.path());
+    other.journal_dir = journal.path();
+    try {
+      Server second(other);
+      FAIL() << "second server on a held journal dir must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + journal.path() + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    // The first server is untouched and still serving on its socket.
+    Client client("unix:" + sock, "alpha");
+    EXPECT_EQ(client.serverName(), "svc-test");
+    client.bye();
+    first.requestShutdown(true);
+    first.waitStopped();
+  }
+  // The lock dies with its holder: the directories are free again.
+  EXPECT_NO_THROW(Server again(opts));
 }
 
 }  // namespace

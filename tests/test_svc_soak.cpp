@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "run/run.hpp"
+#include "support/temp_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 
@@ -59,12 +60,13 @@ TenantOutcome runTenant(const std::string& sock, const std::string& tenant) {
 TEST(SvcSoak, MultiTenantFairnessEvictionAndCleanShutdown) {
   const std::string sock =
       "/tmp/bfvr_soak_" + std::to_string(::getpid()) + ".sock";
+  const test::TempDir spool;
   Server::Options opts;
   opts.endpoint = "unix:" + sock;
   opts.workers = 4;
   opts.warm_managers = true;
   opts.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
-  opts.spool_dir = "/tmp";
+  opts.spool_dir = spool.path();
   opts.checkpoint_every = 1;
   opts.stream_iterations = false;  // throughput mode; eviction needs no feed
   opts.name = "soak";
