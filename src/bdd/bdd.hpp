@@ -522,7 +522,10 @@ class Manager {
   /// resetForReuse() or on a freshly constructed Manager(0)); returns
   /// false otherwise. Resizes the computed cache when cache_bits differs.
   bool reconfigure(const Config& cfg);
-  /// Exact number of nodes reachable from live handles (runs a mark pass).
+  /// Exact number of nodes reachable from live handles, plus the terminal.
+  /// Runs a mark pass that counts as it marks: O(live + handles), with no
+  /// scan of the node store. Never exceeds inUseNodes(); equals it right
+  /// after gc().
   std::size_t liveNodeCount();
   /// High-water mark of inUseNodes() since construction / resetPeak().
   std::size_t peakNodes() const noexcept { return peak_nodes_; }
@@ -821,6 +824,10 @@ class Manager {
 
   // -- GC ----------------------------------------------------------------------
   void markFrom(Edge e);
+  /// Mark every node reachable from `e` with the current epoch and return
+  /// how many were not marked before (the walk behind sharedNodeCount and
+  /// liveNodeCount).
+  std::size_t markAndCount(Edge e);
 
   Bdd make(Edge e) noexcept { return Bdd(this, e); }
   Edge requireSameManager(const Bdd& b) const;

@@ -78,19 +78,25 @@ std::size_t Manager::sharedNodeCount(std::span<const Bdd> fs) {
   for (const Bdd& f : fs) {
     if (f.isNull()) continue;
     requireSameManager(f);
-    mark_stack_.clear();
-    mark_stack_.push_back(index(f.raw()));
-    while (!mark_stack_.empty()) {
-      const std::uint32_t i = mark_stack_.back();
-      mark_stack_.pop_back();
-      Node& n = nodes_[i];
-      if (n.mark == mark_epoch_) continue;
-      n.mark = mark_epoch_;
-      ++count;
-      if (n.var != kTermVar) {
-        mark_stack_.push_back(index(n.high));
-        mark_stack_.push_back(index(n.low));
-      }
+    count += markAndCount(f.raw());
+  }
+  return count;
+}
+
+std::size_t Manager::markAndCount(Edge e) {
+  std::size_t count = 0;
+  mark_stack_.clear();
+  mark_stack_.push_back(index(e));
+  while (!mark_stack_.empty()) {
+    const std::uint32_t i = mark_stack_.back();
+    mark_stack_.pop_back();
+    Node& n = nodes_[i];
+    if (n.mark == mark_epoch_) continue;
+    n.mark = mark_epoch_;
+    ++count;
+    if (n.var != kTermVar) {
+      mark_stack_.push_back(index(n.high));
+      mark_stack_.push_back(index(n.low));
     }
   }
   return count;

@@ -567,12 +567,9 @@ std::size_t Manager::liveNodeCount() {
     mark_epoch_ = 1;
   }
   nodes_[0].mark = mark_epoch_;
+  std::size_t live = 1;  // the terminal
   for (const Bdd* h = handles_; h != nullptr; h = h->next_) {
-    markFrom(h->e_);
-  }
-  std::size_t live = 0;
-  for (const Node& n : nodes_) {
-    if (n.var != kFreeVar && n.mark == mark_epoch_) ++live;
+    live += markAndCount(h->e_);
   }
   return live;
 }

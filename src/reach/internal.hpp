@@ -22,11 +22,17 @@ class RunGuard {
   RunGuard(Manager& m, const Budget& budget) : m_(m), budget_(budget) {}
 
   /// Record the current live node count; throw on exhausted budgets.
+  /// Live never exceeds in-use, so the mark pass runs only when the in-use
+  /// count is above the peak so far. Otherwise the peak cannot move, and
+  /// neither can the node budget trip: the peak never passes the budget
+  /// without throwing. The result equals marking on every call.
   void sample() {
-    const std::size_t live = m_.liveNodeCount();
-    if (live > peak_) peak_ = live;
-    if (budget_.max_live_nodes != 0 && live > budget_.max_live_nodes) {
-      throw bdd::NodeBudgetExceeded(budget_.max_live_nodes, live);
+    if (m_.inUseNodes() > peak_) {
+      const std::size_t live = m_.liveNodeCount();
+      if (live > peak_) peak_ = live;
+      if (budget_.max_live_nodes != 0 && live > budget_.max_live_nodes) {
+        throw bdd::NodeBudgetExceeded(budget_.max_live_nodes, live);
+      }
     }
     if (budget_.max_seconds > 0.0 && timer_.seconds() > budget_.max_seconds) {
       throw TimeBudgetExceeded{};

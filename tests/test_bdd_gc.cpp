@@ -59,6 +59,42 @@ TEST(BddGc, LiveNodeCountTracksReachable) {
   EXPECT_EQ(m.liveNodeCount(), 1U);
 }
 
+TEST(BddGc, LiveNodeCountMatchesSharedSizeOfSurvivors) {
+  // The count walks only what the live handles reach; it must agree with
+  // the shared size of the surviving functions even when dropped functions
+  // have left garbage in the store, and with the in-use count after a GC.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Manager m(10);
+    Rng rng(seed);
+    std::vector<Bdd> pool;
+    for (int i = 0; i < 24; ++i) {
+      std::vector<unsigned> vars{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+      rng.shuffle(vars);
+      vars.resize(6);
+      Bdd f = test::bddFromTruth(m, vars, test::randomTruth(rng, 6));
+      if (!pool.empty() && rng.flip()) {
+        f = rng.flip() ? f & pool[rng.below(pool.size())]
+                       : f ^ pool[rng.below(pool.size())];
+      }
+      pool.push_back(f);
+    }
+    // Drop a random subset (all of it for one seed) without collecting.
+    std::vector<Bdd> survivors;
+    for (const Bdd& f : pool) {
+      if (seed != 12 && rng.chance(1, 2)) survivors.push_back(f);
+    }
+    pool.clear();
+    const std::size_t live = m.liveNodeCount();
+    EXPECT_EQ(live,
+              survivors.empty() ? 1U : m.sharedNodeCount(survivors))
+        << "seed " << seed;
+    EXPECT_LT(live, m.inUseNodes()) << "seed " << seed;  // garbage present
+    m.gc();
+    EXPECT_EQ(m.liveNodeCount(), m.inUseNodes()) << "seed " << seed;
+    EXPECT_EQ(m.liveNodeCount(), live) << "seed " << seed;
+  }
+}
+
 TEST(BddGc, PeakMonotoneAndResettable) {
   Manager m(8);
   { Bdd f = (m.var(0) ^ m.var(1)) & (m.var(2) ^ m.var(3)); (void)f; }

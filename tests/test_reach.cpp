@@ -2,9 +2,16 @@
 // circuits, variable orders and engine options.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "circuit/bench_io.hpp"
 #include "circuit/concrete_sim.hpp"
 #include "circuit/generators.hpp"
 #include "reach/engine.hpp"
+#include "reach/internal.hpp"
+#include "support/brute.hpp"
 
 namespace bfvr::reach {
 namespace {
@@ -158,6 +165,102 @@ TEST(Reach, NodeBudgetReportsMemOut) {
   opts.budget.max_live_nodes = 40;  // absurdly small
   const ReachResult r = reachTr(s, opts);
   EXPECT_EQ(r.status, RunStatus::kMemOut);
+}
+
+// A node budget of exactly the unbudgeted peak P must finish with peak P,
+// and P - 1 must run out.
+class ReachNodeBudget
+    : public ::testing::TestWithParam<std::tuple<int, Engine>> {};
+
+TEST_P(ReachNodeBudget, TripsExactlyAtThePeak) {
+  const auto [cidx, engine] = GetParam();
+  const Netlist n = cidx == 0 ? circuit::parseBenchFile(
+                                    std::string(BFVR_DATA_DIR) + "/fifo3.bench")
+                              : circuit::makeLfsr(10);
+  const auto runWith = [&](std::size_t max_live_nodes) {
+    bdd::Manager m(0);
+    sym::StateSpace s(m, n, circuit::makeOrder(n, {OrderKind::kTopo, 0}));
+    ReachOptions opts;
+    opts.budget.max_live_nodes = max_live_nodes;
+    return run(engine, s, opts);
+  };
+  const ReachResult free_run = runWith(0);
+  ASSERT_EQ(free_run.status, RunStatus::kDone) << name(engine);
+  const std::size_t peak = free_run.peak_live_nodes;
+  ASSERT_GT(peak, 1U);
+
+  const ReachResult at_peak = runWith(peak);
+  EXPECT_EQ(at_peak.status, RunStatus::kDone) << name(engine);
+  EXPECT_EQ(at_peak.peak_live_nodes, peak) << name(engine);
+  EXPECT_DOUBLE_EQ(at_peak.states, free_run.states) << name(engine);
+
+  const ReachResult below = runWith(peak - 1);
+  EXPECT_EQ(below.status, RunStatus::kMemOut) << name(engine);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ReachNodeBudget,
+    ::testing::Combine(::testing::Values(0, 1),
+                       ::testing::Values(Engine::kTr, Engine::kCbm,
+                                         Engine::kBfv, Engine::kCdec)));
+
+// RunGuard::sample() skips its mark pass when the in-use count cannot move
+// the peak or trip the node budget. Against the exact live count taken at
+// every sample, over random builds, drops and collections (collections keep
+// in-use close to live, so the skip fires), the peak and the step at which
+// a node budget trips must both match.
+TEST(RunGuard, SkippedSamplesMoveNeitherPeakNorBudget) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    // The seed's walk: one sample after each step, appending the exact live
+    // count to `lives`. A throwing sample ends it before the append.
+    const auto walk = [seed](internal::RunGuard& guard, Manager& m,
+                             std::vector<std::size_t>& lives) {
+      Rng rng(seed);
+      std::vector<Bdd> pool;
+      for (int step = 0; step < 200; ++step) {
+        if (!pool.empty() && rng.chance(1, 3)) {
+          pool.erase(pool.begin() +
+                     static_cast<std::ptrdiff_t>(rng.below(pool.size())));
+        } else {
+          std::vector<unsigned> vars{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+          rng.shuffle(vars);
+          vars.resize(6);
+          pool.push_back(
+              test::bddFromTruth(m, vars, test::randomTruth(rng, 6)));
+        }
+        if (rng.chance(1, 3)) m.gc();
+        guard.sample();
+        lives.push_back(m.liveNodeCount());
+      }
+    };
+    std::vector<std::size_t> lives;
+    Manager free_m(10);
+    internal::RunGuard free_guard(free_m, Budget{});
+    walk(free_guard, free_m, lives);
+    const std::size_t peak = *std::max_element(lives.begin(), lives.end());
+    EXPECT_EQ(free_guard.peak(), peak) << "seed " << seed;
+    for (const std::size_t cap : {peak, peak - 1, peak / 2}) {
+      const auto first_over =
+          std::find_if(lives.begin(), lives.end(),
+                       [cap](std::size_t live) { return live > cap; });
+      Manager m(10);
+      Budget budget;
+      budget.max_live_nodes = cap;
+      internal::RunGuard guard(m, budget);
+      std::vector<std::size_t> capped;
+      bool tripped = false;
+      try {
+        walk(guard, m, capped);
+      } catch (const bdd::NodeBudgetExceeded&) {
+        tripped = true;
+      }
+      EXPECT_EQ(tripped, first_over != lives.end())
+          << "seed " << seed << " cap " << cap;
+      EXPECT_EQ(capped.size(),
+                static_cast<std::size_t>(first_over - lives.begin()))
+          << "seed " << seed << " cap " << cap;
+    }
+  }
 }
 
 TEST(Reach, TimeBudgetReportsTimeOut) {
