@@ -129,7 +129,8 @@ void reachBackends(JsonLog& log, JsonLog& trace) {
   hr(60);
   std::printf(
       "\nShape to compare with the paper: CDEC uses fewer operations per\n"
-      "union (the §2.7 efficiency note) but carries the characteristic-\n"
+      "union from width 16 up and fewer recursive steps at every width\n"
+      "(the §2.7 efficiency note) but carries the characteristic-\n"
       "function-sized prefix projections, so BFV wins peak size on the\n"
       "dependency-rich rows.\n");
 }

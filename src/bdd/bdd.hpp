@@ -474,8 +474,14 @@ class Manager {
   std::size_t nextAutoReorderAt() const noexcept { return next_reorder_at_; }
 
   // ---- inspection ----------------------------------------------------------
-  /// Variables f depends on, sorted by variable index (not by level).
+  /// Variables f depends on, sorted by variable index (not by level): a
+  /// bit-scan over supportBits().
   std::vector<unsigned> support(const Bdd& f);
+  /// One mark walk of f that sets bit v of `words` (bit v % 64 of word
+  /// v / 64) for every variable v in f's support, keeping bits already set,
+  /// and returns nodeCount(f) (terminal included). `words` must hold at
+  /// least numVars() bits.
+  std::size_t supportBits(const Bdd& f, std::span<std::uint64_t> words);
   /// Positive cube of the support variables.
   Bdd supportCube(const Bdd& f);
   /// Positive cube over the given variables.
@@ -824,10 +830,13 @@ class Manager {
 
   // -- GC ----------------------------------------------------------------------
   void markFrom(Edge e);
+  /// Start a new mark epoch (clearing every mark when the counter wraps).
+  void nextMarkEpoch();
   /// Mark every node reachable from `e` with the current epoch and return
-  /// how many were not marked before (the walk behind sharedNodeCount and
-  /// liveNodeCount).
-  std::size_t markAndCount(Edge e);
+  /// how many were not marked before (the walk behind sharedNodeCount,
+  /// liveNodeCount and supportBits). A non-null `support` gets the bit of
+  /// every newly marked node's variable set.
+  std::size_t markAndCount(Edge e, std::uint64_t* support = nullptr);
 
   Bdd make(Edge e) noexcept { return Bdd(this, e); }
   Edge requireSameManager(const Bdd& b) const;

@@ -1,6 +1,6 @@
 // Structural queries: support, node counts, minterm counting, evaluation,
 // and satisfying-cube extraction.
-#include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "bdd/bdd.hpp"
@@ -8,29 +8,26 @@
 namespace bfvr::bdd {
 
 std::vector<unsigned> Manager::support(const Bdd& f) {
-  const Edge root = requireSameManager(f);
+  std::vector<std::uint64_t> words((num_vars_ + 63) / 64, 0);
+  supportBits(f, words);
   std::vector<unsigned> vars;
-  ++mark_epoch_;
-  if (mark_epoch_ == 0) {
-    for (Node& n : nodes_) n.mark = 0;
-    mark_epoch_ = 1;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      vars.push_back(static_cast<unsigned>(w * 64) +
+                     static_cast<unsigned>(std::countr_zero(bits)));
+    }
   }
-  mark_stack_.clear();
-  mark_stack_.push_back(index(root));
-  nodes_[0].mark = mark_epoch_;
-  while (!mark_stack_.empty()) {
-    const std::uint32_t i = mark_stack_.back();
-    mark_stack_.pop_back();
-    Node& n = nodes_[i];
-    if (n.mark == mark_epoch_) continue;
-    n.mark = mark_epoch_;
-    vars.push_back(n.var);
-    mark_stack_.push_back(index(n.high));
-    mark_stack_.push_back(index(n.low));
-  }
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   return vars;
+}
+
+std::size_t Manager::supportBits(const Bdd& f,
+                                 std::span<std::uint64_t> words) {
+  const Edge root = requireSameManager(f);
+  if (words.size() * 64 < num_vars_) {
+    throw std::invalid_argument("supportBits: fewer bits than variables");
+  }
+  nextMarkEpoch();
+  return markAndCount(root, words.data());
 }
 
 Bdd Manager::supportCube(const Bdd& f) {
@@ -69,11 +66,7 @@ std::size_t Manager::nodeCount(const Bdd& f) {
 }
 
 std::size_t Manager::sharedNodeCount(std::span<const Bdd> fs) {
-  ++mark_epoch_;
-  if (mark_epoch_ == 0) {
-    for (Node& n : nodes_) n.mark = 0;
-    mark_epoch_ = 1;
-  }
+  nextMarkEpoch();
   std::size_t count = 0;
   for (const Bdd& f : fs) {
     if (f.isNull()) continue;
@@ -83,7 +76,15 @@ std::size_t Manager::sharedNodeCount(std::span<const Bdd> fs) {
   return count;
 }
 
-std::size_t Manager::markAndCount(Edge e) {
+void Manager::nextMarkEpoch() {
+  ++mark_epoch_;
+  if (mark_epoch_ == 0) {
+    for (Node& n : nodes_) n.mark = 0;
+    mark_epoch_ = 1;
+  }
+}
+
+std::size_t Manager::markAndCount(Edge e, std::uint64_t* support) {
   std::size_t count = 0;
   mark_stack_.clear();
   mark_stack_.push_back(index(e));
@@ -95,6 +96,9 @@ std::size_t Manager::markAndCount(Edge e) {
     n.mark = mark_epoch_;
     ++count;
     if (n.var != kTermVar) {
+      if (support != nullptr) {
+        support[n.var >> 6] |= std::uint64_t{1} << (n.var & 63);
+      }
       mark_stack_.push_back(index(n.high));
       mark_stack_.push_back(index(n.low));
     }

@@ -20,6 +20,8 @@
 //  * per-component supports are bitsets maintained incrementally — after a
 //    slice union, only components whose edge actually changed are re-walked
 //    (identical raw edge => identical function => identical support);
+//  * a re-walk is ONE mark walk (Manager::supportBits) that writes the
+//    support bits in place and returns the node count;
 //  * per-component node counts are memoized alongside the supports, so the
 //    kSupportCost schedule reads them in O(1) instead of recounting inside
 //    its O(pending × n) cost loop. After an automatic reorder they can be
@@ -59,11 +61,10 @@ class SupportBits {
   explicit SupportBits(std::size_t num_vars)
       : words_((num_vars + 63) / 64, 0) {}
 
-  void assignFrom(const std::vector<unsigned>& vars) {
+  /// Replace the bits with f's support in one walk; returns f's node count.
+  std::size_t assignFrom(Manager& m, const Bdd& f) {
     std::fill(words_.begin(), words_.end(), 0);
-    for (const unsigned v : vars) {
-      words_[v >> 6] |= std::uint64_t{1} << (v & 63);
-    }
+    return m.supportBits(f, words_);
   }
   bool test(unsigned v) const noexcept {
     return (words_[v >> 6] >> (v & 63)) & 1U;
@@ -98,8 +99,7 @@ std::vector<Bdd> quantifyParams(Manager& m, std::vector<Bdd> cur,
   std::vector<SupportBits> supports(n, SupportBits(num_vars));
   std::vector<std::size_t> node_counts(n, 0);
   auto rewalk = [&](std::size_t i) {
-    supports[i].assignFrom(m.support(cur[i]));
-    if (dynamic) node_counts[i] = m.nodeCount(cur[i]);
+    node_counts[i] = supports[i].assignFrom(m, cur[i]);
   };
   for (std::size_t i = 0; i < n; ++i) rewalk(i);
 

@@ -90,6 +90,32 @@ std::uint64_t nearestMember(const Set& s, std::uint64_t v, unsigned n) {
   return best;
 }
 
+std::vector<Bdd> paperUnion(Manager& m, const std::vector<unsigned>& vars,
+                            const std::vector<Bdd>& f,
+                            const std::vector<Bdd>& g) {
+  const std::size_t n = vars.size();
+  std::vector<Bdd> h(n);
+  Bdd fx = m.zero();
+  Bdd gx = m.zero();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (fx.isFalse() && gx.isFalse() && f[i] == g[i]) {
+      h[i] = f[i];
+      continue;
+    }
+    const Bdd v = m.var(vars[i]);
+    const Bdd f1 = m.cofactor(f[i], vars[i], false);
+    const Bdd f0 = ~m.cofactor(f[i], vars[i], true);
+    const Bdd g1 = m.cofactor(g[i], vars[i], false);
+    const Bdd g0 = ~m.cofactor(g[i], vars[i], true);
+    const Bdd h1 = (f1 & g1) | (f1 & gx) | (fx & g1);
+    const Bdd h0 = (f0 & g0) | (f0 & gx) | (fx & g0);
+    h[i] = h1 | (~h0 & v);
+    fx = fx | (f0 & h[i]) | (f1 & ~h[i]);
+    gx = gx | (g0 & h[i]) | (g1 & ~h[i]);
+  }
+  return h;
+}
+
 Set setUnionOf(const Set& a, const Set& b) {
   Set r = a;
   r.insert(b.begin(), b.end());

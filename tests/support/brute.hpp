@@ -46,6 +46,14 @@ Set randomSet(Rng& rng, unsigned n, std::uint64_t num, std::uint64_t den);
 /// d(X,Y) = sum_i 2^(n-1-i) [x_i != y_i]. Requires non-empty s.
 std::uint64_t nearestMember(const Set& s, std::uint64_t v, unsigned n);
 
+/// The §2.3 union sweep exactly as the paper prints it: forced conditions
+/// f1 = f|v=0 and f0 = ~(f|v=1) from cofactors, h1/h0, h = h1 | ~h0 & v,
+/// then fx |= f0 h | f1 ~h (gx alike). Kept apart from the production
+/// bfv::internal::unionCore as its oracle; same operand contract.
+std::vector<Bdd> paperUnion(Manager& m, const std::vector<unsigned>& vars,
+                            const std::vector<Bdd>& f,
+                            const std::vector<Bdd>& g);
+
 Set setUnionOf(const Set& a, const Set& b);
 Set setIntersectOf(const Set& a, const Set& b);
 

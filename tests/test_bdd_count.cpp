@@ -2,6 +2,7 @@
 // and cube extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 
 #include "support/brute.hpp"
@@ -81,6 +82,74 @@ TEST(BddCount, NodeCountIncludesTerminal) {
   // at least it is strictly larger than the AND chain.
   const Bdd x = m.var(0) ^ m.var(1) ^ m.var(2);
   EXPECT_GE(m.nodeCount(x), 4U);
+}
+
+/// Support by definition: v is in the support of f iff f's two cofactors
+/// with respect to v differ.
+std::vector<unsigned> supportByCofactors(Manager& m, const Bdd& f) {
+  std::vector<unsigned> vars;
+  for (unsigned v = 0; v < m.numVars(); ++v) {
+    if (m.cofactor(f, v, false) != m.cofactor(f, v, true)) vars.push_back(v);
+  }
+  return vars;
+}
+
+/// One supportBits() walk, decoded back to a sorted variable list.
+std::vector<unsigned> bitsToVars(const std::vector<std::uint64_t>& words) {
+  std::vector<unsigned> vars;
+  for (unsigned v = 0; v < words.size() * 64; ++v) {
+    if (((words[v / 64] >> (v % 64)) & 1U) != 0) vars.push_back(v);
+  }
+  return vars;
+}
+
+void expectWalkMatches(Manager& m, const Bdd& f, const char* where) {
+  std::vector<std::uint64_t> words((m.numVars() + 63) / 64, 0);
+  const std::size_t count = m.supportBits(f, words);
+  const std::vector<unsigned> want = supportByCofactors(m, f);
+  EXPECT_EQ(bitsToVars(words), want) << where;
+  EXPECT_EQ(m.support(f), want) << where;
+  EXPECT_EQ(count, m.nodeCount(f)) << where;
+}
+
+TEST(BddCount, SupportBitsWalkMatchesSupportAndNodeCount) {
+  // 130 variables, so supports span three 64-bit words.
+  constexpr unsigned kNumVars = 130;
+  Manager m(kNumVars);
+  Rng rng(77);
+  expectWalkMatches(m, m.one(), "one");
+  expectWalkMatches(m, m.zero(), "zero");
+  auto randomFn = [&] {
+    std::vector<unsigned> vars;
+    for (int j = 0; j < 5; ++j) {
+      vars.push_back(static_cast<unsigned>(rng.below(kNumVars)));
+    }
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    return bddFromTruth(m, vars,
+                        randomTruth(rng, static_cast<unsigned>(vars.size())));
+  };
+  std::vector<Bdd> pool;
+  for (int k = 0; k < 40; ++k) {
+    const Bdd f = randomFn();
+    const Bdd g = randomFn();
+    pool.push_back(rng.flip() ? (f ^ g) : (f & ~g));
+    expectWalkMatches(m, pool.back(), "random");
+  }
+  m.reorder(ReorderMethod::kSift);
+  for (const Bdd& f : pool) expectWalkMatches(m, f, "after sift");
+}
+
+TEST(BddCount, SupportBitsKeepsSetBitsAndChecksWidth) {
+  Manager m(70);
+  std::vector<std::uint64_t> words(2, 0);
+  words[0] = 1;  // variable 0, not in f's support
+  const std::size_t count = m.supportBits(m.var(69) & m.var(3), words);
+  EXPECT_EQ(count, 3U);
+  EXPECT_EQ(bitsToVars(words), (std::vector<unsigned>{0, 3, 69}));
+  std::vector<std::uint64_t> short_words(1, 0);
+  EXPECT_THROW((void)m.supportBits(m.var(3), short_words),
+               std::invalid_argument);
 }
 
 TEST(BddCount, SharedNodeCountSharesSubgraphs) {

@@ -133,7 +133,9 @@ TEST(BfvReparam, ManyParametersFewValues) {
 // `referenceQuantifyParams` is a verbatim copy of internal::quantifyParams
 // before the incremental-support rewrite: it recomputes every component's
 // support from scratch after each quantification and re-counts nodes inside
-// the cost scan. Same math, brute force — the rewrite must be bit-identical
+// the cost scan. Its slice union is test::paperUnion, the §2.3 sweep as the
+// paper prints it (cofactors, h1/h0), not the production closed form. Same
+// math, brute force — the production loop and union must be bit-identical
 // to it on real circuits, for both schedules.
 
 struct RefQuantCost {
@@ -198,7 +200,7 @@ std::vector<Bdd> referenceQuantifyParams(Manager& m, std::vector<Bdd> cur,
         hi[i] = cur[i];
       }
     }
-    cur = internal::unionCore(m, choice, lo, hi);
+    cur = test::paperUnion(m, choice, lo, hi);
     for (std::size_t i = 0; i < n; ++i) refresh(i);
     m.maybeGc();
   }

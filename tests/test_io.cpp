@@ -16,6 +16,7 @@
 #include "circuit/generators.hpp"
 #include "io/checkpoint.hpp"
 #include "reach/engine.hpp"
+#include "support/temp_dir.hpp"
 
 #ifndef BFVR_DATA_DIR
 #define BFVR_DATA_DIR "data"
@@ -27,8 +28,10 @@ namespace {
 using bdd::Bdd;
 using bdd::Manager;
 
-std::string tmpPath(const std::string& name) {
-  return ::testing::TempDir() + "bfvr_ckpt_" + name;
+/// `name` inside the test's own scratch directory, so tests running in
+/// parallel ctest processes never write, corrupt or remove each other's files.
+std::string tmpPath(const test::TempDir& dir, const std::string& name) {
+  return dir.path() + "/" + name;
 }
 
 std::vector<char> slurp(const std::string& path) {
@@ -68,7 +71,8 @@ Checkpoint sampleCheckpoint(Manager& m) {
 }
 
 TEST(CheckpointFile, RoundTripsAcrossManagers) {
-  const std::string path = tmpPath("roundtrip.bin");
+  const test::TempDir dir("bfvr_ckpt");
+  const std::string path = tmpPath(dir, "roundtrip.bin");
   Manager a(4);
   const Checkpoint c = sampleCheckpoint(a);
   save(path, c);
@@ -97,7 +101,8 @@ TEST(CheckpointMemory, EncodeBytesAreExactlyTheFileBytes) {
   // encode() is the wire/migration twin of save(): byte-identical output,
   // and decode() restores the same checkpoint without touching the
   // filesystem.
-  const std::string path = tmpPath("encode_twin.bin");
+  const test::TempDir dir("bfvr_ckpt");
+  const std::string path = tmpPath(dir, "encode_twin.bin");
   Manager a(4);
   const Checkpoint c = sampleCheckpoint(a);
   const std::vector<std::uint8_t> image = encode(c);
@@ -130,7 +135,8 @@ TEST(CheckpointMemory, DecodeRejectsACorruptedImage) {
 }
 
 TEST(CheckpointFile, RestoresTheRecordedVariableOrder) {
-  const std::string path = tmpPath("order.bin");
+  const test::TempDir dir("bfvr_ckpt");
+  const std::string path = tmpPath(dir, "order.bin");
   Manager a(4);
   const std::vector<unsigned> order{3, 1, 0, 2};
   a.setVarOrder(order);
@@ -143,7 +149,8 @@ TEST(CheckpointFile, RestoresTheRecordedVariableOrder) {
 }
 
 TEST(CheckpointFile, ConstantAndSharedRootsSurvive) {
-  const std::string path = tmpPath("shared.bin");
+  const test::TempDir dir("bfvr_ckpt");
+  const std::string path = tmpPath(dir, "shared.bin");
   Manager a(3);
   Checkpoint c;
   c.engine = "bfv";
@@ -168,13 +175,14 @@ TEST(CheckpointFile, ConstantAndSharedRootsSurvive) {
 
 TEST(CheckpointFile, MissingFileThrows) {
   Manager m(2);
-  EXPECT_THROW(load(tmpPath("no-such-file.bin"), m), Error);
+  const test::TempDir dir("bfvr_ckpt");
+  EXPECT_THROW(load(tmpPath(dir, "no-such-file.bin"), m), Error);
 }
 
 class CheckpointCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = tmpPath("corrupt.bin");
+    path_ = tmpPath(dir_, "corrupt.bin");
     Manager a(4);
     save(path_, sampleCheckpoint(a));
     bytes_ = slurp(path_);
@@ -188,6 +196,7 @@ class CheckpointCorruption : public ::testing::Test {
     EXPECT_THROW(load(path_, m), Error);
   }
 
+  const test::TempDir dir_{"bfvr_ckpt"};
   std::string path_;
   std::vector<char> bytes_;
 };
@@ -260,7 +269,8 @@ TEST_F(CheckpointCorruption, EverySingleByteFlipIsRejected) {
 }
 
 TEST(CheckpointFile, SaveIsAtomicNoTmpLeftBehind) {
-  const std::string path = tmpPath("atomic.bin");
+  const test::TempDir dir("bfvr_ckpt");
+  const std::string path = tmpPath(dir, "atomic.bin");
   Manager a(4);
   save(path, sampleCheckpoint(a));
   std::ifstream tmp(path + ".tmp", std::ios::binary);
@@ -334,8 +344,9 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
   }
   ASSERT_EQ(ref.status, RunStatus::kDone) << file << " " << name(engine);
 
+  const test::TempDir dir("bfvr_ckpt");
   const std::string path =
-      tmpPath(std::string("resume_") + file + "_" + name(engine));
+      tmpPath(dir, std::string("resume_") + file + "_" + name(engine));
   if (ref.iterations > 1) {
     // Kill the run mid-fixpoint (max_iterations plays the crash), leaving a
     // checkpoint of every completed iteration behind.
@@ -417,7 +428,8 @@ TEST(Resume, MissingCheckpointThrowsIoError) {
   Manager m(0);
   sym::StateSpace s(m, n,
                     circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
-  EXPECT_THROW(reach::resumeReach(s, tmpPath("never-written.bin"), {}),
+  const test::TempDir dir("bfvr_ckpt");
+  EXPECT_THROW(reach::resumeReach(s, tmpPath(dir, "never-written.bin"), {}),
                Error);
 }
 

@@ -17,6 +17,7 @@
 #include "run/manifest.hpp"
 #include "run/run.hpp"
 #include "support/brute.hpp"
+#include "support/temp_dir.hpp"
 #include "sym/space.hpp"
 
 namespace bfvr::run {
@@ -453,7 +454,8 @@ TEST(RunRetry, EscalationClimbsTheLadderToSuccess) {
 
 TEST(RunRetry, ResumesFromTheLatestCheckpoint) {
   const char* circuit = "gen:counter:8:200";
-  const std::string path = ::testing::TempDir() + "bfvr_retry_resume.bin";
+  const test::TempDir dir("bfvr_run");
+  const std::string path = dir.path() + "/retry_resume.bin";
   std::remove(path.c_str());
   JobSpec spec;
   spec.circuit = circuit;
@@ -609,8 +611,8 @@ TEST(RunResume, InMemoryImageContinuesBitIdentically) {
   const JobResult full = executeJob(ref);
   ASSERT_EQ(full.status, RunStatus::kDone);
 
-  const std::string ckpt =
-      ::testing::TempDir() + "bfvr_run_image_test.ckpt";
+  const test::TempDir dir("bfvr_run");
+  const std::string ckpt = dir.path() + "/run_image_test.ckpt";
   JobSpec half = ref;
   half.opts.checkpoint_path = ckpt;
   half.opts.checkpoint_every = 1;
