@@ -66,9 +66,11 @@ struct ResumePoint {
 
 struct ReachOptions {
   Budget budget;
-  /// Selection heuristic (Fig. 1/2 "Selection Heuristic" box): simulate
-  /// from the smaller of the new image and the reached set. When false,
-  /// always simulate from the full reached set.
+  /// Selection heuristic (Fig. 1/2 "Selection Heuristic" box): take the
+  /// next image of the smaller of the new states (img \ reached) and the
+  /// reached set. The Fig. 2 engines compute img \ reached in their own set
+  /// algebra (DESIGN.md §4b item 6). When false, always take the image of
+  /// the full reached set.
   bool use_frontier = true;
   /// Re-parameterization quantification schedule (BFV/CDEC engines).
   bfv::ReparamOptions reparam;

@@ -141,6 +141,16 @@ class Tracer {
   obs::PhaseSeconds iter_phases_;
 };
 
+/// The exact frontier img \ old of the Fig. 2 flow (bfv_reach.cpp), with
+/// Set = Bfv or cdec::Cdec: set difference in the set algebra alone, with no
+/// characteristic function over the state variables. Returns `img` itself
+/// when it is disjoint from `old`; throws std::logic_error when img ⊆ old
+/// (no new state — the fixpoint). Both sets range over the current (v)
+/// bank of `s`.
+template <class Set>
+Set exactFrontier(const sym::StateSpace& s, const bfv::ReparamOptions& opts,
+                  const Set& img, const Set& old);
+
 /// Apply the run's reorder policy before the iteration loop: bind each
 /// latch's (v, u) pair into a reorder group. Pairs that are not at adjacent
 /// levels (the manager was reordered before this run) are left unbound.

@@ -121,7 +121,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Reach, FrontierHeuristicDoesNotChangeTheResult) {
   const Netlist n = circuit::makeFifoCtrl(2);
-  for (const Engine e : {Engine::kTr, Engine::kCbm, Engine::kBfv}) {
+  for (const Engine e :
+       {Engine::kTr, Engine::kCbm, Engine::kBfv, Engine::kCdec}) {
     bdd::Manager m1(0);
     sym::StateSpace s1(m1, n, circuit::makeOrder(n, {OrderKind::kTopo, 0}));
     ReachOptions with;
@@ -137,6 +138,7 @@ TEST(Reach, FrontierHeuristicDoesNotChangeTheResult) {
     EXPECT_EQ(a.status, RunStatus::kDone);
     EXPECT_EQ(b.status, RunStatus::kDone);
     EXPECT_DOUBLE_EQ(a.states, b.states) << name(e);
+    EXPECT_EQ(a.iterations, b.iterations) << name(e);
     EXPECT_EQ(a.chi_nodes, b.chi_nodes) << name(e);
   }
 }

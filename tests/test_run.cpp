@@ -488,27 +488,53 @@ TEST(RunRetry, NoRetryOnTimeouts) {
   EXPECT_EQ(r.attempts.size(), 1U);
 }
 
-TEST(RunFaults, InjectedAllocationFailureFoldsToMemOut) {
+/// The RunFaults tests' injection point: allocation 400 of counter8m200 on
+/// BFV lands in iteration 72 of 200, past the setup allocations.
+constexpr const char* kFaultCircuit = "gen:counter:8:200";
+constexpr std::uint64_t kMidRunAlloc = 400;
+
+/// A fault-free run of the same job must allocate well past (1.5x) the
+/// injection point; otherwise the fault never fires and the job ends kDone.
+/// A future speedup that makes an index vacuous fails here, loudly.
+void expectAllocatesWellPast(JobSpec clean, std::uint64_t index) {
+  clean.faults = {};
+  clean.retry = {};
+  clean.opts.checkpoint_every = 0;
+  clean.opts.checkpoint_path.clear();
+  const JobResult r = executeJob(clean);
+  ASSERT_EQ(r.status, RunStatus::kDone) << r.message;
+  EXPECT_GE(2 * r.reach.ops.nodes_created, 3 * index)
+      << clean.circuit << " no longer allocates well past fault index "
+      << index;
+}
+
+JobSpec faultJob() {
   JobSpec spec;
-  spec.circuit = "gen:counter:8:200";
+  spec.circuit = kFaultCircuit;
   spec.engine = EngineKind::kBfv;
-  spec.faults.alloc_failures = {2000};  // mid-run, well past setup
+  return spec;
+}
+
+TEST(RunFaults, InjectedAllocationFailureFoldsToMemOut) {
+  expectAllocatesWellPast(faultJob(), kMidRunAlloc);
+  JobSpec spec = faultJob();
+  spec.faults.alloc_failures = {kMidRunAlloc};
   const JobResult r = executeJob(spec);
   ASSERT_EQ(r.status, RunStatus::kMemOut);
   EXPECT_NE(r.message.find("injected"), std::string::npos) << r.message;
   ASSERT_EQ(r.attempts.size(), 1U);
   EXPECT_EQ(r.attempts[0].faults_injected, 1U);
+  EXPECT_GT(r.reach.iterations, 1U) << "fault fired before the fixpoint loop";
 }
 
 TEST(RunFaults, WorkerSurvivesInjectedFaultsAndRunsTheNextJob) {
   // Regression: a failed or interrupted attempt must release its manager
   // and leave the worker able to complete subsequent jobs.
+  expectAllocatesWellPast(faultJob(), kMidRunAlloc);
   WorkerPool pool(1);
 
-  JobSpec crash;
-  crash.circuit = "gen:counter:8:200";
-  crash.engine = EngineKind::kBfv;
-  crash.faults.alloc_failures = {2000};
+  JobSpec crash = faultJob();
+  crash.faults.alloc_failures = {kMidRunAlloc};
   std::future<JobResult> f1 = pool.submit(crash);
 
   JobSpec interrupt;  // spurious interrupt at a GC/poll boundary
@@ -534,6 +560,50 @@ TEST(RunFaults, WorkerSurvivesInjectedFaultsAndRunsTheNextJob) {
   EXPECT_EQ(r3.reach.states, 16.0);
   EXPECT_EQ(r1.worker, 0U);
   EXPECT_EQ(r3.worker, 0U);
+}
+
+TEST(RunFaults, FaultSoakManifestTotals) {
+  // The CI fault-injection soak (data/fault_soak.manifest through bfv_run,
+  // two workers) in tier-1: the same batch totals CI greps for. Shipped
+  // circuit paths resolve under the data dir and the checkpoint lands in a
+  // private directory, so parallel test processes never share it.
+  const test::TempDir dir("bfvr_fault_soak");
+  std::vector<ManifestEntry> entries =
+      parseManifestFile(BFVR_DATA_DIR "/fault_soak.manifest");
+  ASSERT_EQ(entries.size(), 8U);
+  for (ManifestEntry& e : entries) {
+    JobSpec& spec = e.spec;
+    const std::string prefix = "data/";
+    if (spec.circuit.rfind(prefix, 0) == 0) {
+      spec.circuit = BFVR_DATA_DIR "/" + spec.circuit.substr(prefix.size());
+    }
+    if (!spec.opts.checkpoint_path.empty()) {
+      spec.opts.checkpoint_path = dir.path() + "/" + spec.opts.checkpoint_path;
+    }
+    for (const std::uint64_t index : spec.faults.alloc_failures) {
+      SCOPED_TRACE(spec.displayName());
+      expectAllocatesWellPast(spec, index);
+    }
+  }
+  WorkerPool pool(2);
+  std::vector<std::future<JobResult>> futures;
+  for (const ManifestEntry& e : entries) futures.push_back(pool.submit(e.spec));
+  unsigned done = 0, memout = 0, cancelled = 0, other = 0, retries = 0;
+  for (std::future<JobResult>& f : futures) {
+    const JobResult r = f.get();
+    switch (r.status) {
+      case RunStatus::kDone: ++done; break;
+      case RunStatus::kMemOut: ++memout; break;
+      case RunStatus::kCancelled: ++cancelled; break;
+      default: ++other; break;
+    }
+    retries += r.retriesUsed();
+  }
+  EXPECT_EQ(done, 5U);
+  EXPECT_EQ(memout, 2U);
+  EXPECT_EQ(cancelled, 1U);
+  EXPECT_EQ(other, 0U);
+  EXPECT_EQ(retries, 2U);
 }
 
 TEST(RunManifest, ParsesRobustnessKeys) {

@@ -208,9 +208,15 @@ TEST(SvcSoak, MultiTenantFairnessEvictionAndCleanShutdown) {
   // A deterministic mid-run allocation failure folds to memout; the server
   // notices faults_injected != 0 and writes the post-mortem dump.
   {
+    // The fault must land mid-fixpoint: a fault-free run of the same job
+    // allocates well past the index, so it cannot silently end done.
+    run::JobSpec clean;
+    clean.circuit = "gen:counter:8:200";
+    clean.engine = run::EngineKind::kBfv;
+    EXPECT_GE(run::executeJob(clean).reach.ops.nodes_created, 800u);
     Client client("unix:" + sock, "fault");
     const std::uint64_t tag =
-        client.submit("circuit=gen:counter:8:200 fault-allocs=2000");
+        client.submit("circuit=gen:counter:8:200 fault-allocs=400");
     std::optional<std::uint64_t> job = client.awaitAdmission(tag);
     ASSERT_TRUE(job.has_value());
     const JobDone done = client.awaitDone(*job);

@@ -64,6 +64,21 @@ serve_b() {
   SRV=$!
 }
 
+# The kill must land while accepted jobs are still unfinished, or the
+# restart only replays terminal records and the drill proves nothing. Size
+# data/chaos_soak.manifest so this holds; a speedup that outruns the kill
+# point fails here instead of passing vacuously.
+expect_replayed() {
+  python3 - "$1" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    j = json.load(f)
+print("journal replay:", {k: j[k] for k in
+      ("replayed_jobs", "replayed_resumed", "replayed_terminal")})
+assert j["replayed_jobs"] >= 1, "the kill found no unfinished job to replay"
+PY
+}
+
 echo "=== phase A: kill -9 + restart recovery (direct tcp) ==="
 rm -rf journal_recovery spool_recovery
 mkdir -p spool_recovery
@@ -91,6 +106,7 @@ wait "$SRV"
 grep -q '"jobs_error": 0' SVC_recovery.json
 python3 tools/journal_check.py journal_recovery/journal.bin --expect-jobs 14
 cp journal_recovery/JOURNAL_recovery.json .
+expect_replayed JOURNAL_recovery.json
 
 echo "=== phase B: chaos proxy (torn/stall/drop/dup) + kill -9 restart ==="
 rm -rf journal_chaos spool_chaos
@@ -122,6 +138,7 @@ wait "$PROXY" 2>/dev/null || true
 grep -q '"jobs_error": 0' SVC_chaos.json
 python3 tools/journal_check.py journal_chaos/journal.bin --expect-jobs 6
 cp journal_chaos/JOURNAL_chaos.json .
+expect_replayed JOURNAL_chaos.json
 python3 - <<'EOF'
 import json
 with open("CHAOS_chaos.json") as f:
